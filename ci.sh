@@ -22,12 +22,20 @@ go test -race ./internal/simnet/... ./internal/wire/... ./internal/quant/... ./i
 # exercises the parallel apply path) under each class's kernels. The
 # facade population tests ride along because the sparse regime's lazily
 # materialized shards exercise per-class storage paths the resident
-# fixtures don't (notably the float32 shard-mirror resolution).
+# fixtures don't (notably the float32 shard-mirror resolution). The
+# engine packages (core, baselines, multilayer) run per class because
+# they drive the shared slot fold, whose lanes hold the active storage
+# class.
 for KC in generic sse2 avx2 avx2f32; do
-	HIERFAIR_KERNEL=$KC go test -count=1 ./internal/tensor/ ./internal/fl/ ./internal/invariance/
+	HIERFAIR_KERNEL=$KC go test -count=1 ./internal/tensor/ ./internal/fl/ ./internal/invariance/ ./internal/core/ ./internal/baselines/ ./internal/multilayer/
 	HIERFAIR_KERNEL=$KC go test -count=1 -run 'Population' .
 	HIERFAIR_KERNEL=$KC go test -race -count=1 ./internal/tensor/
 done
+
+# The benchmark program is its own module on top of this one: vet and
+# test it so renaming or re-signing an export it uses fails here, not
+# in the benchmark run.
+(cd perfbench && go vet . && go test -count=1 .)
 
 # Short fuzz smoke on the simplex projections and the wire codec: a few
 # seconds per target re-explores the corpus plus fresh mutations of the

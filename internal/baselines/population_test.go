@@ -27,44 +27,48 @@ func popBaselines() []struct {
 	}
 }
 
-// TestBaselinesPopulationDeterministicAcrossWorkers: every baseline's
-// population path must be invariant to the engine's parallelism — the
-// streaming cohort folds happen in sample order regardless of chunking
-// or worker count.
+// TestBaselinesPopulationDeterministicAcrossWorkers: every baseline
+// must be invariant to the engine's parallelism, on a sparse population
+// and on resident clients (Population 0) alike — client results fold in
+// source order regardless of chunking or worker count.
 func TestBaselinesPopulationDeterministicAcrossWorkers(t *testing.T) {
 	for _, b := range popBaselines() {
 		t.Run(b.name, func(t *testing.T) {
-			cfg := fltest.ToyConfig()
-			cfg.Rounds = 20
-			cfg.TrackAverages = true
-			cfg.Population = 400
-			cfg.SamplePerRound = 6
-			b.prep(&cfg)
-			cfg.Sequential = true
-			ref, err := b.run(fltest.ToyProblem(1), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 4, 13} {
-				c := cfg
-				c.Sequential = false
-				c.Workers = workers
-				got, err := b.run(fltest.ToyProblem(1), c)
+			for _, population := range []int{400, 0} {
+				cfg := fltest.ToyConfig()
+				cfg.Rounds = 20
+				cfg.TrackAverages = true
+				if population > 0 {
+					cfg.Population = population
+					cfg.SamplePerRound = 6
+				}
+				b.prep(&cfg)
+				cfg.Sequential = true
+				ref, err := b.run(fltest.ToyProblem(1), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := range ref.W {
-					if ref.W[i] != got.W[i] {
-						t.Fatalf("workers=%d: w diverges at %d", workers, i)
+				for _, workers := range []int{1, 4, 13} {
+					c := cfg
+					c.Sequential = false
+					c.Workers = workers
+					got, err := b.run(fltest.ToyProblem(1), c)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				for i := range ref.WHat {
-					if ref.WHat[i] != got.WHat[i] {
-						t.Fatalf("workers=%d: wHat diverges at %d", workers, i)
+					for i := range ref.W {
+						if ref.W[i] != got.W[i] {
+							t.Fatalf("population=%d workers=%d: w diverges at %d", population, workers, i)
+						}
 					}
-				}
-				if ref.Ledger != got.Ledger {
-					t.Fatalf("workers=%d: ledgers differ", workers)
+					for i := range ref.WHat {
+						if ref.WHat[i] != got.WHat[i] {
+							t.Fatalf("population=%d workers=%d: wHat diverges at %d", population, workers, i)
+						}
+					}
+					if ref.Ledger != got.Ledger {
+						t.Fatalf("population=%d workers=%d: ledgers differ", population, workers)
+					}
 				}
 			}
 		})

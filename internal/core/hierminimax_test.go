@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/fl"
@@ -206,6 +207,15 @@ func TestQuantizedUplinksStillLearn(t *testing.T) {
 	cfg := fltest.ToyConfig()
 	cfg.Compression = quant.Config{Bits: 8}
 	res, err := HierMinimax(prob, cfg)
+	if tensor.StorageF32() {
+		// The float32 storage tier refuses compression up front
+		// (fl.Config.Validate): dequantized values are not
+		// float32-representable.
+		if err == nil || !strings.Contains(err.Error(), "compression is not supported") {
+			t.Fatalf("float32 tier must refuse compression, got %v", err)
+		}
+		return
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
