@@ -3,8 +3,10 @@ package baselines
 import (
 	"fmt"
 
+	"repro/internal/data"
 	"repro/internal/fl"
-	"repro/internal/model"
+	"repro/internal/population"
+	"repro/internal/rng"
 	"repro/internal/tensor"
 	"repro/internal/topology"
 )
@@ -24,7 +26,7 @@ func StochasticAFL(prob *fl.Problem, cfg fl.Config) (*fl.Result, error) {
 		return nil, fmt.Errorf("baselines: Stochastic-AFL uses single-step updates; Tau1 must be 1, got %d", cfg.Tau1)
 	}
 	pool := fl.NewModelPool(prob.Model)
-	var folds []cohortFold
+	var folds []slotFold
 	return fl.Run("Stochastic-AFL", prob, cfg, func(k int, st *fl.State) {
 		minimaxTwoLayerRound(k, st, pool, 1, &folds)
 	})
@@ -40,7 +42,7 @@ func DRFA(prob *fl.Problem, cfg fl.Config) (*fl.Result, error) {
 		return nil, err
 	}
 	pool := fl.NewModelPool(prob.Model)
-	var folds []cohortFold
+	var folds []slotFold
 	return fl.Run("DRFA", prob, cfg, func(k int, st *fl.State) {
 		minimaxTwoLayerRound(k, st, pool, cfg.WithDefaults().Tau1, &folds)
 	})
@@ -49,13 +51,11 @@ func DRFA(prob *fl.Problem, cfg fl.Config) (*fl.Result, error) {
 // minimaxTwoLayerRound advances one round of a two-layer minimax method
 // with tau1 local steps. With tau1 = 1 it is Stochastic-AFL (the
 // checkpoint after 1 step is exactly the aggregated next iterate); with
-// tau1 > 1 it is DRFA. folds is caller-owned per-slot scratch for the
-// population regime's streaming aggregation, reused across rounds.
-func minimaxTwoLayerRound(k int, st *fl.State, pool *fl.ModelPool, tau1 int, folds *[]cohortFold) {
+// tau1 > 1 it is DRFA. folds is caller-owned per-slot fold scratch,
+// reused across rounds.
+func minimaxTwoLayerRound(k int, st *fl.State, pool *fl.ModelPool, tau1 int, folds *[]slotFold) {
 	cfg := &st.Cfg
 	prob := st.Prob
-	top := prob.Topology()
-	n0 := top.ClientsPerEdge
 	d := len(st.W)
 	dBytes := topology.ModelBytes(d)
 	kr := st.Root.ChildN('k', uint64(k))
@@ -65,110 +65,88 @@ func minimaxTwoLayerRound(k int, st *fl.State, pool *fl.ModelPool, tau1 int, fol
 	// deterministic draw HierMinimax makes from its own stream keys.
 	slots := kr.Child(1).SampleWeighted(cfg.SampledEdges, st.P)
 	c1 := 1 + kr.Child(2).Intn(tau1) // checkpoint step (DRFA); trivial for tau1=1
+	sr := kr.ChildVal(3)
 
+	wChk := make([]float64, d)
+	var nTot int
 	if cfg.PopulationEnabled() {
 		// Sparse population: each sampled slot trains its (k, edge)
 		// roster cohort — the identical sampler the HierMinimax engines
-		// use — and streams the cohort's models and checkpoints into
-		// per-slot MeanAccumulators. The server then averages the slot
+		// use — in its own fold. The server then averages the slot
 		// means (cohorts share a size, so the uniform weighting over
-		// participants is preserved) and ascends p on cohort loss
-		// estimates at the checkpoint average.
+		// participants is preserved).
 		roster := cfg.Roster(prob.Fed.NumAreas())
 		if len(*folds) < len(slots) {
-			*folds = make([]cohortFold, len(slots))
+			*folds = make([]slotFold, len(slots))
 		}
-		type slotOut struct {
-			wSlot, chkSlot, iterSum []float64
-			n                       int
-		}
-		outs := make([]slotOut, len(slots))
+		wVecs := make([][]float64, len(slots))
+		chkVecs := make([][]float64, len(slots))
+		iterSums := make([][]float64, len(slots))
 		cfg.ForEach(len(slots), func(i int) {
 			e := slots[i]
 			fd := &(*folds)[i]
-			corpus := prob.Fed.Areas[e].Train
 			fd.cohort = roster.CohortInto(fd.cohort, k, e)
-			var iterSum []float64
 			if cfg.TrackAverages {
-				iterSum = make([]float64, d)
+				iterSums[i] = make([]float64, d)
 			}
-			n := fd.run(cfg, pool, d, len(fd.cohort), cfg.TrackAverages,
-				func(m model.Model, lane, c int, wf, chk, sum []float64) bool {
-					shard := roster.ShardInto(fd.cohort[c], corpus, &fd.shards[lane])
-					copy(wf, st.W)
-					return fl.LocalSGDInto(m, wf, shard, tau1, cfg.BatchSize, cfg.EtaW, prob.W, kr.ChildN(3, uint64(i), uint64(c)), c1, sum, chk)
-				}, iterSum)
-			wSlot := make([]float64, d)
-			fd.wAcc.FinishInto(wSlot)
-			chkSlot := make([]float64, d)
-			fd.chkAcc.FinishInto(chkSlot)
-			outs[i] = slotOut{wSlot: wSlot, chkSlot: chkSlot, iterSum: iterSum, n: n}
+			ss := sr.ChildVal(uint64(i))
+			fd.Run(cfg, prob.W, pool, fl.Clients{
+				N:       len(fd.cohort),
+				Source:  fl.CohortClients(roster, fd.cohort, prob.Fed.Areas[e].Train),
+				Stream:  func(c int) rng.Stream { return ss.ChildVal(uint64(c)) },
+				Start:   st.W,
+				ChkAt:   c1,
+				IterSum: iterSums[i],
+			})
+			wVecs[i], chkVecs[i] = make([]float64, d), make([]float64, d)
+			fd.W.FinishInto(wVecs[i])
+			fd.Chk.FinishInto(chkVecs[i])
 		})
-		nTot := 0
-		wVecs := make([][]float64, len(outs))
-		chkVecs := make([][]float64, len(outs))
-		for i, o := range outs {
-			nTot += o.n
-			wVecs[i] = o.wSlot
-			chkVecs[i] = o.chkSlot
+		for i := range slots {
+			n := len((*folds)[i].cohort)
+			nTot += n
 			if st.WSum != nil {
-				tensor.StorageAdd(st.WSum, o.iterSum)
-				st.WCount += float64(tau1 * o.n)
+				tensor.StorageAdd(st.WSum, iterSums[i])
+				st.WCount += float64(tau1 * n)
 			}
 		}
-		st.Ledger.RecordRound(topology.ClientCloud, nTot, dBytes)
-		st.Ledger.RecordRound(topology.ClientCloud, nTot, 2*dBytes)
 		tensor.AverageInto(st.W, wVecs...)
-		fl.ProjectW(prob.W, st.W)
-		wChk := make([]float64, d)
 		tensor.AverageInto(wChk, chkVecs...)
-		v := uniformLossEstimatesPop(st, pool, roster, k, wChk, kr.Child(4), topology.ClientCloud)
-		ascendP(st, v, cfg.EtaP*float64(tau1))
-		return
-	}
-
-	st.Ledger.RecordRound(topology.ClientCloud, len(slots)*n0, dBytes)
-	type slotOut struct {
-		finals, chks [][]float64
-		iterSum      []float64
-	}
-	outs := make([]slotOut, len(slots))
-	cfg.ForEach(len(slots), func(i int) {
-		m := pool.Get()
-		defer pool.Put(m)
-		e := slots[i]
-		area := prob.Fed.Areas[e]
+	} else {
+		// Resident clients: the slots' clients form one slot-major
+		// (slot, client) list folded into one flat average, the
+		// server's uniform weighting over every participant.
+		n0 := prob.Topology().ClientsPerEdge
+		nTot = len(slots) * n0
+		if len(*folds) < 1 {
+			*folds = make([]slotFold, 1)
+		}
+		fd := &(*folds)[0]
 		var iterSum []float64
 		if cfg.TrackAverages {
-			iterSum = make([]float64, len(st.W))
+			iterSum = st.WSum
+			st.WCount += float64(tau1 * nTot)
 		}
-		finals := make([][]float64, n0)
-		chks := make([][]float64, n0)
-		for c := 0; c < n0; c++ {
-			r := kr.ChildN(3, uint64(i), uint64(c))
-			wf, wc := fl.LocalSGD(m, st.W, area.Clients[c], tau1, cfg.BatchSize, cfg.EtaW, prob.W, r, c1, iterSum)
-			finals[c] = wf
-			chks[c] = wc
-		}
-		outs[i] = slotOut{finals: finals, chks: chks, iterSum: iterSum}
-	})
-	st.Ledger.RecordRound(topology.ClientCloud, len(slots)*n0, 2*dBytes)
-
-	var finals, chks [][]float64
-	for _, o := range outs {
-		finals = append(finals, o.finals...)
-		chks = append(chks, o.chks...)
-		if st.WSum != nil {
-			tensor.StorageAdd(st.WSum, o.iterSum)
-			st.WCount += float64(tau1 * n0)
-		}
+		fd.Run(cfg, prob.W, pool, fl.Clients{
+			N: nTot,
+			Source: func(i int, _ *population.ShardScratch) data.Subset {
+				return prob.Fed.Areas[slots[i/n0]].Clients[i%n0]
+			},
+			Stream:  func(i int) rng.Stream { return sr.ChildVal(uint64(i / n0)).ChildVal(uint64(i % n0)) },
+			Start:   st.W,
+			ChkAt:   c1,
+			IterSum: iterSum,
+		})
+		fd.W.FinishInto(st.W)
+		fd.Chk.FinishInto(wChk)
 	}
-	tensor.AverageInto(st.W, finals...)
+	// Server broadcast to, and model + checkpoint uploads from, every
+	// participating client.
+	st.Ledger.RecordRound(topology.ClientCloud, nTot, dBytes)
+	st.Ledger.RecordRound(topology.ClientCloud, nTot, 2*dBytes)
 	fl.ProjectW(prob.W, st.W)
-	wChk := make([]float64, len(st.W))
-	tensor.AverageInto(wChk, chks...)
 
 	// Weight update at the checkpoint model, step eta_p * tau1.
-	v := uniformLossEstimates(st, pool, wChk, kr.Child(4), topology.ClientCloud)
+	v := uniformLossEstimates(st, pool, k, wChk, kr.Child(4))
 	ascendP(st, v, cfg.EtaP*float64(tau1))
 }

@@ -9,11 +9,11 @@ package baselines
 import (
 	"fmt"
 
+	"repro/internal/data"
 	"repro/internal/fl"
-	"repro/internal/model"
 	"repro/internal/optim"
+	"repro/internal/population"
 	"repro/internal/rng"
-	"repro/internal/tensor"
 	"repro/internal/topology"
 )
 
@@ -30,68 +30,49 @@ func FedAvg(prob *fl.Problem, cfg fl.Config) (*fl.Result, error) {
 	}
 	pool := fl.NewModelPool(prob.Model)
 	top := prob.Topology()
-	if cfg.PopulationEnabled() {
-		// Sparse population: SamplePerRound clients are drawn uniformly
-		// from the registered roster (FedAvg's sampling distribution is
-		// uniform over clients, not p-weighted over edges), their shards
-		// materialize lazily from the striped edge corpora, and the
-		// server average streams through one MeanAccumulator — O(sampled)
-		// work and O(popLanes*d) live buffers, never O(Population).
-		var fold cohortFold
-		return fl.Run("FedAvg", prob, cfg, func(k int, st *fl.State) {
-			cfg := &st.Cfg
-			d := len(st.W)
-			roster := cfg.Roster(prob.Fed.NumAreas())
-			dBytes := topology.ModelBytes(d)
-			kr := st.Root.ChildN('k', uint64(k))
-			clients := kr.Child(1).SampleUniform(cfg.SamplePerRound, cfg.Population)
-			st.Ledger.RecordRound(topology.ClientCloud, len(clients), dBytes)
-			n := fold.run(cfg, pool, d, len(clients), cfg.TrackAverages,
-				func(m model.Model, lane, i int, wf, chk, sum []float64) bool {
-					id := clients[i]
-					shard := roster.ShardInto(id, prob.Fed.Areas[roster.EdgeOf(id)].Train, &fold.shards[lane])
-					copy(wf, st.W)
-					return fl.LocalSGDInto(m, wf, shard, cfg.Tau1, cfg.BatchSize, cfg.EtaW, prob.W, kr.ChildN(2, uint64(i)), 0, sum, chk)
-				}, st.WSum)
-			if cfg.TrackAverages {
-				st.WCount += float64(cfg.Tau1 * n)
-			}
-			st.Ledger.RecordRound(topology.ClientCloud, n, dBytes)
-			fold.wAcc.FinishInto(st.W)
-			fl.ProjectW(prob.W, st.W)
-		})
-	}
+	var fold fl.Fold
 	return fl.Run("FedAvg", prob, cfg, func(k int, st *fl.State) {
 		cfg := &st.Cfg
 		dBytes := topology.ModelBytes(len(st.W))
 		kr := st.Root.ChildN('k', uint64(k))
-		m := cfg.SampledEdges * top.ClientsPerEdge
-		clients := kr.Child(1).SampleUniform(m, top.NumClients())
-
-		st.Ledger.RecordRound(topology.ClientCloud, len(clients), dBytes)
-		finals := make([][]float64, len(clients))
-		sums := make([][]float64, len(clients))
-		cfg.ForEach(len(clients), func(i int) {
-			mod := pool.Get()
-			defer pool.Put(mod)
-			var iterSum []float64
-			if cfg.TrackAverages {
-				iterSum = make([]float64, len(st.W))
+		// The server samples m = SampledEdges*N0 resident clients
+		// uniformly. In the sparse population regime it samples
+		// SamplePerRound registered clients uniformly instead (FedAvg's
+		// sampling distribution is uniform over clients, not p-weighted
+		// over edges), whose shards materialize lazily from the striped
+		// edge corpora.
+		var clients []int
+		var src fl.ClientSource
+		if cfg.PopulationEnabled() {
+			roster := cfg.Roster(prob.Fed.NumAreas())
+			clients = kr.Child(1).SampleUniform(cfg.SamplePerRound, cfg.Population)
+			src = func(i int, s *population.ShardScratch) data.Subset {
+				id := clients[i]
+				return roster.ShardInto(id, prob.Fed.Areas[roster.EdgeOf(id)].Train, s)
 			}
-			e := top.EdgeOf(clients[i])
-			shard := prob.Fed.Areas[e].Clients[clients[i]%top.ClientsPerEdge]
-			wf, _ := fl.LocalSGD(mod, st.W, shard, cfg.Tau1, cfg.BatchSize, cfg.EtaW, prob.W, kr.ChildN(2, uint64(i)), 0, iterSum)
-			finals[i] = wf
-			sums[i] = iterSum
-		})
-		st.Ledger.RecordRound(topology.ClientCloud, len(clients), dBytes)
-		if cfg.TrackAverages {
-			for _, s := range sums {
-				tensor.StorageAdd(st.WSum, s)
-				st.WCount += float64(cfg.Tau1)
+		} else {
+			clients = kr.Child(1).SampleUniform(cfg.SampledEdges*top.ClientsPerEdge, top.NumClients())
+			src = func(i int, _ *population.ShardScratch) data.Subset {
+				c := clients[i]
+				return prob.Fed.Areas[top.EdgeOf(c)].Clients[c%top.ClientsPerEdge]
 			}
 		}
-		tensor.AverageInto(st.W, finals...)
+		n := len(clients)
+		st.Ledger.RecordRound(topology.ClientCloud, n, dBytes)
+		var iterSum []float64
+		if cfg.TrackAverages {
+			iterSum = st.WSum
+			st.WCount += float64(cfg.Tau1 * n)
+		}
+		cr := kr.ChildVal(2)
+		fold.Run(cfg, prob.W, pool, fl.Clients{
+			N: n, Source: src,
+			Stream:  func(i int) rng.Stream { return cr.ChildVal(uint64(i)) },
+			Start:   st.W,
+			IterSum: iterSum,
+		})
+		st.Ledger.RecordRound(topology.ClientCloud, n, dBytes)
+		fold.W.FinishInto(st.W)
 		fl.ProjectW(prob.W, st.W)
 	})
 }
@@ -106,30 +87,42 @@ func requireTwoLayer(name string, cfg fl.Config) error {
 }
 
 // uniformLossEstimates samples m_E edges uniformly, estimates each
-// sampled edge's loss at w via client mini-batches, and returns the
-// unbiased gradient estimate v (v_e = (N_E/m_E) f_e(w) on sampled edges,
-// 0 elsewhere). Communication is recorded on the given cloud link class.
-func uniformLossEstimates(st *fl.State, pool *fl.ModelPool, w []float64, r *rng.Stream, cloudLink topology.Link) []float64 {
+// sampled edge's loss at w from its clients — its resident clients or,
+// in the sparse population regime, its round-k roster cohort — and
+// returns the unbiased gradient estimate v (v_e = (N_E/m_E) f_e(w) on
+// sampled edges, 0 elsewhere). The two-layer methods' clients talk to
+// the server directly: the ledger prices the model broadcast and the
+// scalar uplinks on the client-cloud link, per sampled edge with
+// resident clients and per cohort member with a population.
+func uniformLossEstimates(st *fl.State, pool *fl.ModelPool, k int, w []float64, r *rng.Stream) []float64 {
 	cfg := &st.Cfg
 	prob := st.Prob
 	nE := prob.Fed.NumAreas()
 	dBytes := topology.ModelBytes(len(w))
 	sampled := r.SampleUniform(cfg.SampledEdges, nE)
-	st.Ledger.RecordRound(cloudLink, len(sampled), dBytes)
+	var roster population.Roster
+	msgs := len(sampled)
+	if cfg.PopulationEnabled() {
+		roster = cfg.Roster(nE)
+		msgs = 0
+		for _, e := range sampled {
+			msgs += roster.CohortSize(e)
+		}
+	}
+	st.Ledger.RecordRound(topology.ClientCloud, msgs, dBytes)
 	losses := make([]float64, len(sampled))
 	cfg.ForEach(len(sampled), func(i int) {
 		m := pool.Get()
 		defer pool.Put(m)
 		er := r.ChildN(5, uint64(i))
 		area := prob.Fed.Areas[sampled[i]]
-		if cloudLink == topology.EdgeCloud {
-			// Three-layer: the edge relays to clients.
-			st.Ledger.RecordRound(topology.ClientEdge, len(area.Clients), dBytes)
-			defer st.Ledger.RecordRound(topology.ClientEdge, len(area.Clients), 8)
+		if cfg.PopulationEnabled() {
+			losses[i] = fl.CohortLossEstimate(m, w, area.Train, roster, k, sampled[i], cfg.LossBatch, er)
+		} else {
+			losses[i] = fl.LossEstimate(m, w, len(area.Clients), fl.AreaClients(area.Clients), cfg.LossBatch, er)
 		}
-		losses[i] = fl.AreaLossEstimate(m, w, area, cfg.LossBatch, er)
 	})
-	st.Ledger.RecordRound(cloudLink, len(sampled), 8)
+	st.Ledger.RecordRound(topology.ClientCloud, msgs, 8)
 	v := make([]float64, nE)
 	scale := float64(nE) / float64(cfg.SampledEdges)
 	for i, e := range sampled {

@@ -2,7 +2,7 @@ package baselines
 
 import (
 	"repro/internal/fl"
-	"repro/internal/model"
+	"repro/internal/rng"
 	"repro/internal/tensor"
 	"repro/internal/topology"
 )
@@ -15,17 +15,22 @@ import (
 // the minimax fairness mechanism (Table 2's comparison).
 func HierFAvg(prob *fl.Problem, cfg fl.Config) (*fl.Result, error) {
 	pool := fl.NewModelPool(prob.Model)
-	var folds []cohortFold
+	var folds []slotFold
 	return fl.Run("HierFAvg", prob, cfg, func(k int, st *fl.State) {
 		hierFAvgRound(k, st, pool, &folds)
 	})
 }
 
-func hierFAvgRound(k int, st *fl.State, pool *fl.ModelPool, folds *[]cohortFold) {
+// slotFold is a baseline's per-slot fold scratch, reused across rounds:
+// the fold and, in the population regime, the slot's cohort ids.
+type slotFold struct {
+	fl.Fold
+	cohort []int
+}
+
+func hierFAvgRound(k int, st *fl.State, pool *fl.ModelPool, folds *[]slotFold) {
 	cfg := &st.Cfg
 	prob := st.Prob
-	top := prob.Topology()
-	n0 := top.ClientsPerEdge
 	d := len(st.W)
 	dBytes := topology.ModelBytes(d)
 	kr := st.Root.ChildN('k', uint64(k))
@@ -33,88 +38,51 @@ func hierFAvgRound(k int, st *fl.State, pool *fl.ModelPool, folds *[]cohortFold)
 	// Uniform edge sampling (no p).
 	edges := kr.Child(1).SampleUniform(cfg.SampledEdges, prob.Fed.NumAreas())
 	st.Ledger.RecordRound(topology.EdgeCloud, len(edges), dBytes)
-
-	if cfg.PopulationEnabled() {
-		// Sparse population: each sampled edge runs its tau2 aggregation
-		// blocks over the (k, edge) roster cohort, folding every block's
-		// client models through a streaming MeanAccumulator — the same
-		// sampler and aggregation chokepoint as HierMinimax, with
-		// HierFAvg's uniform edge weights.
-		roster := cfg.Roster(prob.Fed.NumAreas())
-		if len(*folds) < len(edges) {
-			*folds = make([]cohortFold, len(edges))
-		}
-		type out struct {
-			wEdge, iterSum []float64
-			n              int
-		}
-		outs := make([]out, len(edges))
-		cfg.ForEach(len(edges), func(i int) {
-			e := edges[i]
-			fd := &(*folds)[i]
-			corpus := prob.Fed.Areas[e].Train
-			fd.cohort = roster.CohortInto(fd.cohort, k, e)
-			n := len(fd.cohort)
-			var iterSum []float64
-			if cfg.TrackAverages {
-				iterSum = make([]float64, d)
-			}
-			we := append([]float64(nil), st.W...)
-			for t2 := 0; t2 < cfg.Tau2; t2++ {
-				st.Ledger.RecordRound(topology.ClientEdge, n, dBytes)
-				fd.run(cfg, pool, d, n, cfg.TrackAverages,
-					func(m model.Model, lane, c int, wf, chk, sum []float64) bool {
-						shard := roster.ShardInto(fd.cohort[c], corpus, &fd.shards[lane])
-						copy(wf, we)
-						return fl.LocalSGDInto(m, wf, shard, cfg.Tau1, cfg.BatchSize, cfg.EtaW, prob.W, kr.ChildN(2, uint64(i), uint64(t2), uint64(c)), 0, sum, chk)
-					}, iterSum)
-				st.Ledger.RecordRound(topology.ClientEdge, n, dBytes)
-				fd.wAcc.FinishInto(we)
-				fl.ProjectW(prob.W, we)
-			}
-			outs[i] = out{wEdge: we, iterSum: iterSum, n: n}
-		})
-		st.Ledger.RecordRound(topology.EdgeCloud, len(edges), dBytes)
-		wVecs := make([][]float64, len(outs))
-		for i, o := range outs {
-			wVecs[i] = o.wEdge
-			if st.WSum != nil {
-				tensor.StorageAdd(st.WSum, o.iterSum)
-				st.WCount += float64(cfg.Tau1 * cfg.Tau2 * o.n)
-			}
-		}
-		tensor.AverageInto(st.W, wVecs...)
-		fl.ProjectW(prob.W, st.W)
-		return
+	if len(*folds) < len(edges) {
+		*folds = make([]slotFold, len(edges))
 	}
 
+	// Each sampled edge runs its tau2 aggregation blocks over its
+	// resident clients — or, in the sparse population regime, its
+	// (k, edge) roster cohort, the same sampler as HierMinimax — with
+	// HierFAvg's uniform edge weights.
 	type out struct {
-		wEdge   []float64
-		iterSum []float64
+		wEdge, iterSum []float64
+		n              int
 	}
 	outs := make([]out, len(edges))
 	cfg.ForEach(len(edges), func(i int) {
-		m := pool.Get()
-		defer pool.Put(m)
-		area := prob.Fed.Areas[edges[i]]
+		e := edges[i]
+		fd := &(*folds)[i]
+		area := prob.Fed.Areas[e]
+		n := len(area.Clients)
+		src := fl.AreaClients(area.Clients)
+		if cfg.PopulationEnabled() {
+			roster := cfg.Roster(prob.Fed.NumAreas())
+			fd.cohort = roster.CohortInto(fd.cohort, k, e)
+			n = len(fd.cohort)
+			src = fl.CohortClients(roster, fd.cohort, area.Train)
+		}
 		var iterSum []float64
 		if cfg.TrackAverages {
-			iterSum = make([]float64, len(st.W))
+			iterSum = make([]float64, d)
 		}
 		we := append([]float64(nil), st.W...)
-		finals := make([][]float64, n0)
+		er := kr.ChildVal(2).ChildVal(uint64(i))
 		for t2 := 0; t2 < cfg.Tau2; t2++ {
-			st.Ledger.RecordRound(topology.ClientEdge, n0, dBytes)
-			for c := 0; c < n0; c++ {
-				r := kr.ChildN(2, uint64(i), uint64(t2), uint64(c))
-				wf, _ := fl.LocalSGD(m, we, area.Clients[c], cfg.Tau1, cfg.BatchSize, cfg.EtaW, prob.W, r, 0, iterSum)
-				finals[c] = wf
-			}
-			st.Ledger.RecordRound(topology.ClientEdge, n0, dBytes)
-			tensor.AverageInto(we, finals...)
+			st.Ledger.RecordRound(topology.ClientEdge, n, dBytes)
+			bs := er.ChildVal(uint64(t2))
+			fd.Run(cfg, prob.W, pool, fl.Clients{
+				N: n, Source: src,
+				Stream:  func(c int) rng.Stream { return bs.ChildVal(uint64(c)) },
+				Start:   we,
+				IterSum: iterSum,
+			})
+			st.Ledger.RecordRound(topology.ClientEdge, n, dBytes)
+			fd.W.FinishInto(we)
 			fl.ProjectW(prob.W, we)
 		}
-		outs[i] = out{wEdge: we, iterSum: iterSum}
+		outs[i] = out{wEdge: we, iterSum: iterSum, n: n}
 	})
 	st.Ledger.RecordRound(topology.EdgeCloud, len(edges), dBytes)
 
@@ -123,7 +91,7 @@ func hierFAvgRound(k int, st *fl.State, pool *fl.ModelPool, folds *[]cohortFold)
 		wVecs[i] = o.wEdge
 		if st.WSum != nil {
 			tensor.StorageAdd(st.WSum, o.iterSum)
-			st.WCount += float64(cfg.Tau1 * cfg.Tau2 * n0)
+			st.WCount += float64(cfg.Tau1 * cfg.Tau2 * o.n)
 		}
 	}
 	tensor.AverageInto(st.W, wVecs...)

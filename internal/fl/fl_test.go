@@ -26,18 +26,17 @@ func toyShard(seed uint64, n int) data.Subset {
 	return s
 }
 
-func TestLocalSGDDoesNotMutateStart(t *testing.T) {
-	m := model.NewLinear(4, 2)
-	w0 := make([]float64, m.Dim())
-	rng.New(1).Fill(w0, 0.1)
-	orig := append([]float64(nil), w0...)
-	shard := toyShard(2, 20)
-	LocalSGD(m, w0, shard, 5, 2, 0.1, simplex.FullSpace{Dim: m.Dim()}, rng.New(3), 0, nil)
-	for i := range w0 {
-		if w0[i] != orig[i] {
-			t.Fatal("LocalSGD mutated w0")
-		}
+// localSGD runs a local-SGD block from a copy of w0 through
+// LocalSGDScratch and returns the final iterate and the checkpoint (nil
+// when none was taken).
+func localSGD(m model.Model, w0 []float64, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum []float64) (wFinal, wChk []float64) {
+	w := append([]float64(nil), w0...)
+	chk := make([]float64, len(w0))
+	var s Scratch
+	if LocalSGDScratch(m, w, shard, steps, batch, eta, W, r, chkAt, iterSum, chk, &s) {
+		wChk = chk
 	}
+	return w, wChk
 }
 
 func TestLocalSGDCheckpointSemantics(t *testing.T) {
@@ -46,7 +45,7 @@ func TestLocalSGDCheckpointSemantics(t *testing.T) {
 	shard := toyShard(2, 20)
 	W := simplex.FullSpace{Dim: m.Dim()}
 	// chkAt == steps: checkpoint equals the final iterate.
-	wf, wc := LocalSGD(m, w0, shard, 5, 2, 0.1, W, rng.New(3), 5, nil)
+	wf, wc := localSGD(m, w0, shard, 5, 2, 0.1, W, rng.New(3), 5, nil)
 	if wc == nil {
 		t.Fatal("no checkpoint at chkAt=steps")
 	}
@@ -56,15 +55,15 @@ func TestLocalSGDCheckpointSemantics(t *testing.T) {
 		}
 	}
 	// chkAt = 2 equals running only 2 steps with the same stream.
-	_, wc2 := LocalSGD(m, w0, shard, 5, 2, 0.1, W, rng.New(3), 2, nil)
-	short, _ := LocalSGD(m, w0, shard, 2, 2, 0.1, W, rng.New(3), 0, nil)
+	_, wc2 := localSGD(m, w0, shard, 5, 2, 0.1, W, rng.New(3), 2, nil)
+	short, _ := localSGD(m, w0, shard, 2, 2, 0.1, W, rng.New(3), 0, nil)
 	for i := range short {
 		if wc2[i] != short[i] {
 			t.Fatal("mid-run checkpoint differs from prefix run")
 		}
 	}
 	// chkAt = 0: no checkpoint.
-	_, wc0 := LocalSGD(m, w0, shard, 5, 2, 0.1, W, rng.New(3), 0, nil)
+	_, wc0 := localSGD(m, w0, shard, 5, 2, 0.1, W, rng.New(3), 0, nil)
 	if wc0 != nil {
 		t.Fatal("unexpected checkpoint")
 	}
@@ -76,7 +75,7 @@ func TestLocalSGDIterSum(t *testing.T) {
 	rng.New(9).Fill(w0, 0.2)
 	shard := toyShard(2, 20)
 	sum := make([]float64, m.Dim())
-	LocalSGD(m, w0, shard, 1, 2, 0.1, simplex.FullSpace{Dim: m.Dim()}, rng.New(3), 0, sum)
+	localSGD(m, w0, shard, 1, 2, 0.1, simplex.FullSpace{Dim: m.Dim()}, rng.New(3), 0, sum)
 	// One step: the only accumulated iterate is w^(0) = w0 (rounded to
 	// storage on the float32 tier, where every iterate is
 	// float32-representable).
@@ -96,8 +95,8 @@ func TestLocalSGDDeterministicInStream(t *testing.T) {
 	w0 := make([]float64, m.Dim())
 	shard := toyShard(2, 20)
 	W := simplex.FullSpace{Dim: m.Dim()}
-	a, _ := LocalSGD(m, w0, shard, 8, 2, 0.1, W, rng.New(42), 0, nil)
-	b, _ := LocalSGD(m.Clone(), w0, shard, 8, 2, 0.1, W, rng.New(42), 0, nil)
+	a, _ := localSGD(m, w0, shard, 8, 2, 0.1, W, rng.New(42), 0, nil)
+	b, _ := localSGD(m.Clone(), w0, shard, 8, 2, 0.1, W, rng.New(42), 0, nil)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same stream, different trajectory")
@@ -110,7 +109,7 @@ func TestLocalSGDProjects(t *testing.T) {
 	w0 := make([]float64, m.Dim())
 	shard := toyShard(2, 20)
 	ball := simplex.Ball{Radius: 0.01}
-	wf, _ := LocalSGD(m, w0, shard, 10, 2, 1.0, ball, rng.New(3), 0, nil)
+	wf, _ := localSGD(m, w0, shard, 10, 2, 1.0, ball, rng.New(3), 0, nil)
 	if tensor.Norm2(wf) > 0.01+1e-9 {
 		t.Fatalf("iterate escaped W: %v", tensor.Norm2(wf))
 	}
@@ -127,7 +126,7 @@ func TestAreaLossEstimate(t *testing.T) {
 	if tensor.StorageF32() {
 		tol = 1e-7
 	}
-	got := AreaLossEstimate(m, w, area, 4, rng.New(1))
+	got := LossEstimate(m, w, len(area.Clients), AreaClients(area.Clients), 4, rng.New(1))
 	if math.Abs(got-math.Log(2)) > tol {
 		t.Fatalf("loss estimate %v, want ln 2", got)
 	}

@@ -14,10 +14,10 @@ import (
 // Scratch holds the working buffers of a local-SGD block or a mini-batch
 // loss estimate: the gradient accumulator and the sampled batch views.
 // The zero value is ready to use; buffers grow on demand and are reused
-// across calls. Short-lived callers go through LocalSGDInto, which
-// recycles instances via an internal pool; long-lived single-owner
-// callers (the simnet client actors) keep one Scratch per actor so the
-// steady-state hot path never touches the shared pool.
+// across calls. The slot fold and the loss estimators recycle instances
+// through an internal pool; long-lived single-owner callers (the simnet
+// client actors) keep one Scratch per actor so the steady-state hot
+// path never touches the shared pool.
 type Scratch struct {
 	grad []float64
 	xs   [][]float64
@@ -67,45 +67,42 @@ func (s *Scratch) size32(dim, batch int) {
 	s.xs32 = s.xs32[:batch]
 }
 
-// LocalSGD runs `steps` projected SGD steps (Eq. 4) on one client's
-// shard, starting from a copy of w0 (w0 is not modified).
+// LocalSGDScratch runs `steps` projected SGD steps (Eq. 4) on one
+// client's shard, advancing w in place, with the caller's Scratch for
+// every working buffer.
 //
-// If chkAt is in [1, steps], wChk is a copy of the iterate after chkAt
-// steps — the client-side checkpoint of Algorithm 1 Part (b); otherwise
-// wChk is nil.
+// If chkAt is in [1, steps], the iterate after chkAt steps is copied
+// into wChk and the function reports true — the client-side checkpoint
+// of Algorithm 1 Part (b); otherwise wChk is untouched.
 //
-// If iterSum is non-nil, every pre-step iterate w^(t) (t = 0..steps-1) is
-// accumulated into it, which is what the time-averaged wHat of the
+// If iterSum is non-nil, every pre-step iterate w^(t) (t = 0..steps-1)
+// is accumulated into it, which is what the time-averaged wHat of the
 // convex analysis sums over.
-func LocalSGD(m model.Model, w0 []float64, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum []float64) (wFinal, wChk []float64) {
-	w := append([]float64(nil), w0...)
-	chk := make([]float64, len(w0))
-	if LocalSGDInto(m, w, shard, steps, batch, eta, W, r, chkAt, iterSum, chk) {
-		wChk = chk
-	}
-	return w, wChk
-}
-
-// LocalSGDInto is the allocation-free core of LocalSGD: it advances w in
-// place through `steps` projected SGD steps, drawing all working buffers
-// from an internal pool. If chkAt is in [1, steps], the iterate after
-// chkAt steps is copied into wChk and the function reports true;
-// otherwise wChk is untouched. The sampling, gradient and projection
-// sequence is identical to LocalSGD's.
-func LocalSGDInto(m model.Model, w []float64, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum, wChk []float64) bool {
-	s := sgdPool.Get().(*Scratch)
-	checkpointed := LocalSGDScratch(m, w, shard, steps, batch, eta, W, r, chkAt, iterSum, wChk, s)
-	sgdPool.Put(s)
-	return checkpointed
-}
-
-// LocalSGDScratch is LocalSGDInto with a caller-owned Scratch instead of
-// the shared pool; actors that serve many requests keep one Scratch
-// resident and pass it here so the hot path is pool- and lock-free.
+//
+// On the avx2f32 tier a model with a float32 path runs the native body
+// LocalSGD32Scratch on float32 mirrors of w and iterSum; the
+// conversions are exact under the storage invariant (w and iterSum hold
+// float32-representable values), so the float64 vectors the caller sees
+// are the float32 trajectory widened.
 func LocalSGDScratch(m model.Model, w []float64, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum, wChk []float64, s *Scratch) bool {
 	if tensor.StorageF32() {
 		if fm, ok := m.(model.F32Model); ok {
-			return localSGD32(fm, w, shard, steps, batch, eta, W, r, chkAt, iterSum, wChk, s)
+			s.size32(len(w), batch)
+			tensor.ToF32(s.w32, w)
+			var sum32 []float32
+			if iterSum != nil {
+				tensor.ToF32(s.iterSum32, iterSum)
+				sum32 = s.iterSum32
+			}
+			checkpointed := LocalSGD32Scratch(fm, s.w32, shard, steps, batch, eta, W, r, chkAt, sum32, s.chk32, s)
+			tensor.ToF64(w, s.w32)
+			if iterSum != nil {
+				tensor.ToF64(iterSum, s.iterSum32)
+			}
+			if checkpointed {
+				tensor.ToF64(wChk, s.chk32)
+			}
+			return checkpointed
 		}
 		// Fallback regime for models without a float32 path: float64
 		// arithmetic with the iterate rounded back to storage after
@@ -145,32 +142,6 @@ func LocalSGDScratch(m model.Model, w []float64, shard data.Subset, steps, batch
 	return checkpointed
 }
 
-// localSGD32 is the avx2f32 fast path of LocalSGDScratch: the float64
-// boundary adapter over LocalSGD32Scratch. It converts the iterate (and
-// iterate sum) to float32 mirrors, runs the native float32 block, and
-// widens the results back. All conversions are exact under the storage
-// invariant (w and iterSum hold float32-representable values), so the
-// float64 vectors the engines see are the float32 trajectory widened.
-func localSGD32(m model.F32Model, w []float64, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum, wChk []float64, s *Scratch) bool {
-	s.size32(len(w), batch)
-	tensor.ToF32(s.w32, w)
-	summing := iterSum != nil
-	var sum32 []float32
-	if summing {
-		tensor.ToF32(s.iterSum32, iterSum)
-		sum32 = s.iterSum32
-	}
-	checkpointed := LocalSGD32Scratch(m, s.w32, shard, steps, batch, eta, W, r, chkAt, sum32, s.chk32, s)
-	tensor.ToF64(w, s.w32)
-	if summing {
-		tensor.ToF64(iterSum, s.iterSum32)
-	}
-	if checkpointed {
-		tensor.ToF64(wChk, s.chk32)
-	}
-	return checkpointed
-}
-
 // LocalSGD32Scratch is the native-float32 local SGD block: it advances
 // w32 in place through `steps` projected SGD steps with float32
 // sampling (same stream draws as the float64 path), GradF32 and a
@@ -181,9 +152,8 @@ func localSGD32(m model.F32Model, w []float64, shard data.Subset, steps, batch i
 // iterate is accumulated into it with one fma32 rounding per element —
 // exactly StorageAdd's float32 addition on the widened mirrors. w32,
 // wChk32 and iterSum32 may alias the scratch's own buffers or be
-// caller-owned (the core engine's float32 slot path passes its pooled
-// slot buffers directly, so client blocks run without any float64
-// round-trips).
+// caller-owned (the slot fold passes its float32 lane buffers directly,
+// so client blocks run without any float64 round-trips).
 func LocalSGD32Scratch(m model.F32Model, w32 []float32, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum32, wChk32 []float32, s *Scratch) bool {
 	s.size32(len(w32), batch)
 	_, freeW := W.(simplex.FullSpace)
@@ -216,16 +186,6 @@ func LocalSGD32Scratch(m model.F32Model, w32 []float32, shard data.Subset, steps
 	return checkpointed
 }
 
-// LocalSGD32Into is LocalSGD32Scratch with working buffers drawn from
-// the internal pool — the float32 sibling of LocalSGDInto for callers
-// that own the iterate/checkpoint/sum buffers but not a Scratch.
-func LocalSGD32Into(m model.F32Model, w32 []float32, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum32, wChk32 []float32) bool {
-	s := sgdPool.Get().(*Scratch)
-	checkpointed := LocalSGD32Scratch(m, w32, shard, steps, batch, eta, W, r, chkAt, iterSum32, wChk32, s)
-	sgdPool.Put(s)
-	return checkpointed
-}
-
 // ShardLossEstimate draws one mini-batch from the shard (consuming the
 // same stream values as Subset.Sample) and returns the model loss of w on
 // it, using the caller's Scratch for the batch views. It is the
@@ -255,32 +215,4 @@ func ProjectW(W simplex.Set, w []float64) {
 	if tensor.StorageF32() {
 		tensor.Round32(w)
 	}
-}
-
-// AreaLossEstimate implements the LossEstimation procedure of Phase 2:
-// each client of the area evaluates the checkpoint model on a mini-batch
-// and the edge server averages the client estimates, yielding an
-// unbiased estimate of f_e(w).
-func AreaLossEstimate(m model.Model, w []float64, area data.AreaData, lossBatch int, r *rng.Stream) float64 {
-	s := sgdPool.Get().(*Scratch)
-	defer sgdPool.Put(s)
-	total := 0.0
-	if tensor.StorageF32() {
-		if fm, ok := m.(model.F32Model); ok {
-			// Convert the checkpoint once per area, not once per client:
-			// same w32 bits and same per-client stream draws as routing
-			// every client through ShardLossEstimate.
-			s.size32(len(w), lossBatch)
-			tensor.ToF32(s.w32, w)
-			for c, shard := range area.Clients {
-				shard.SampleInto32(r.Child(uint64(c)), s.xs32, s.ys)
-				total += float64(fm.LossF32(s.w32, s.xs32, s.ys))
-			}
-			return total / float64(len(area.Clients))
-		}
-	}
-	for c, shard := range area.Clients {
-		total += ShardLossEstimate(m, w, shard, lossBatch, r.Child(uint64(c)), s)
-	}
-	return total / float64(len(area.Clients))
 }

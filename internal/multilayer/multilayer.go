@@ -199,7 +199,7 @@ func round(k int, st *fl.State, cfg *Config, pool *fl.ModelPool) {
 		er := ur.ChildN(5, uint64(i))
 		area := prob.Fed.Areas[sampled[i]]
 		st.Ledger.RecordRound(topology.ClientEdge, len(area.Clients), dBytes)
-		losses[i] = fl.AreaLossEstimate(m, wChk, area, base.LossBatch, er)
+		losses[i] = fl.LossEstimate(m, wChk, len(area.Clients), fl.AreaClients(area.Clients), base.LossBatch, er)
 		st.Ledger.RecordRound(topology.ClientEdge, len(area.Clients), 8)
 	})
 	st.Ledger.RecordRound(topology.EdgeCloud, len(sampled), 8)
@@ -217,6 +217,7 @@ type nodeRun struct {
 	base   *fl.Config
 	prob   *fl.Problem
 	model  model.Model
+	sgd    fl.Scratch
 	area   []data.Subset // the area's client shards, leaf order
 	ledger *topology.Ledger
 	chk    []int
@@ -245,8 +246,13 @@ func (n *nodeRun) run(v int, w []float64, stream *rng.Stream, leafLo int, inChk 
 				if blockChk {
 					chkAt = n.chk[0]
 				}
-				finals[j], chks[j] = fl.LocalSGD(n.model, we, n.area[leafLo+j],
-					n.cfg.Taus[0], n.base.BatchSize, n.base.EtaW, n.prob.W, cs, chkAt, nil)
+				chks[j] = nil
+				if chkAt > 0 {
+					chks[j] = make([]float64, len(we))
+				}
+				finals[j] = append(finals[j][:0], we...)
+				fl.LocalSGDScratch(n.model, finals[j], n.area[leafLo+j],
+					n.cfg.Taus[0], n.base.BatchSize, n.base.EtaW, n.prob.W, cs, chkAt, nil, chks[j], &n.sgd)
 			} else {
 				finals[j], chks[j] = n.run(v-1, we, cs, leafLo+j*n.cfg.leavesBelow(v-1), blockChk)
 			}

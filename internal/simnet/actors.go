@@ -372,7 +372,7 @@ func (e *edgeActor) run(wg *sync.WaitGroup) {
 			}
 			var reply *edgeTrainReply
 			if e.pop != nil {
-				reply = e.modelUpdatePop(req, round)
+				reply = e.cohortUpdate(req, round)
 			} else {
 				reply = e.modelUpdate(req, round)
 			}
@@ -600,7 +600,7 @@ func (e *edgeActor) modelUpdate(req *edgeTrainReq, round int) *edgeTrainReply {
 
 // lossEstimate collects per-client mini-batch losses of req.W and
 // averages them over the clients that answered, matching
-// fl.AreaLossEstimate's stream keys (and its 1/N0 average when everyone
+// fl.LossEstimate's stream keys (and its 1/N0 average when everyone
 // does). ok is false when no client answered.
 func (e *edgeActor) lossEstimate(req *edgeLossReq, round int) (loss float64, ok bool, acct slotAcct) {
 	n0 := len(e.clients)
@@ -655,21 +655,21 @@ func (e *edgeActor) lossEstimate(req *edgeLossReq, round int) (loss float64, ok 
 	return total / float64(got), true, acct
 }
 
-// modelUpdatePop is modelUpdate in the sparse population regime: the
+// cohortUpdate is modelUpdate in the sparse population regime: the
 // edge trains its (round, edge) roster cohort virtually — no client
 // actors exist, so each sampled client's SGD runs on the edge's
 // resident model and scratch, and every virtual reply folds immediately
 // into streaming MeanAccumulators in cohort order. Stream keys
 // (blockStream.ChildVal(c), post-SGD 'q' children, slot-level 'Q'
 // children) and fold order match both the dense actor protocol and
-// core's modelUpdatePop, so the trajectory is bit-for-bit the core
-// engine's. Chaos composes at the client level: a crashed cohort member
+// core.ModelUpdate's cohort fold, so the trajectory is bit-for-bit the
+// core engine's. Chaos composes at the client level: a crashed cohort member
 // still receives its broadcast (downlink charged, exactly like a dense
 // crashed client that gets the request and then dies) but contributes
 // nothing, and the block average reweights over survivors. Link-level
 // faults never touch virtual clients — they have no transport; the
 // edge-cloud links stay fully fault-exposed.
-func (e *edgeActor) modelUpdatePop(req *edgeTrainReq, round int) *edgeTrainReply {
+func (e *edgeActor) cohortUpdate(req *edgeTrainReq, round int) *edgeTrainReply {
 	roster := *e.pop
 	pool := e.net.pool
 	we := req.W // ownership transferred with the message

@@ -71,3 +71,35 @@ func TestMeanAccumulatorEmptyPanics(t *testing.T) {
 	acc.Reset(8)
 	acc.FinishInto(make([]float64, 8))
 }
+
+// TestMeanAccumulatorAdd32MatchesAdd: on the float32 storage tier,
+// folding a float32 vector directly is bit-for-bit folding its widened
+// mirror.
+func TestMeanAccumulatorAdd32MatchesAdd(t *testing.T) {
+	defer SetKernel(KernelAVX2F32)()
+	const d = 131
+	vecs := make([][]float32, 5)
+	for i := range vecs {
+		vecs[i] = make([]float32, d)
+		for j := range vecs[i] {
+			vecs[i][j] = float32(i*d+j)/97 - 3
+		}
+	}
+	var a, b MeanAccumulator
+	a.Reset(d)
+	b.Reset(d)
+	wide := make([]float64, d)
+	for _, v := range vecs {
+		a.Add32(v)
+		ToF64(wide, v)
+		b.Add(wide)
+	}
+	got, want := make([]float64, d), make([]float64, d)
+	a.FinishInto(got)
+	b.FinishInto(want)
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("Add32 mean differs from Add at %d: %v vs %v", j, got[j], want[j])
+		}
+	}
+}

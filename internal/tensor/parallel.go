@@ -43,53 +43,6 @@ func ParallelFor(n, grain int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// ReduceSum computes the sum over i in [0, n) of term(i) by parallel
-// partial sums combined in index order, so the result is independent of
-// goroutine scheduling.
-func ReduceSum(n, grain int, term func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	workers := runtime.GOMAXPROCS(0)
-	chunks := (n + grain - 1) / grain
-	if chunks < workers {
-		workers = chunks
-	}
-	if workers <= 1 {
-		s := 0.0
-		for i := 0; i < n; i++ {
-			s += term(i)
-		}
-		return s
-	}
-	chunk := (n + workers - 1) / workers
-	nChunks := (n + chunk - 1) / chunk
-	partial := make([]float64, nChunks)
-	var wg sync.WaitGroup
-	for c := 0; c < nChunks; c++ {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += term(i)
-			}
-			partial[c] = s
-		}(c, lo, hi)
-	}
-	wg.Wait()
-	// Combine in fixed order for determinism.
-	return Sum(partial)
-}
-
 // AverageInto writes the elementwise average of the given vectors into
 // dst. All vectors must share dst's length; the list must be non-empty.
 // The summation order is the list order, so the result is deterministic.
@@ -163,6 +116,15 @@ func (a *MeanAccumulator) Add(v []float64) {
 		return
 	}
 	Axpy(1, v, a.acc)
+}
+
+// Add32 folds one float32 vector into the running sum without the
+// narrowing pass: bit-for-bit Add of its widened mirror. Only valid on
+// the float32 storage tier, whose accumulator is float32.
+func (a *MeanAccumulator) Add32(v []float32) {
+	a.n++
+	checkLen(len(a.acc32), len(v))
+	kernels32.axpy(1, v, a.acc32)
 }
 
 // Count returns the number of vectors folded in since Reset.
